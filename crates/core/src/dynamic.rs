@@ -128,15 +128,11 @@ impl DynamicPartitioner {
         // Every interval starts with its cut edge at the middle state;
         // the initial choice only affects the additive constant.
         let initial_state = k_prime / 2;
-        let policies: Vec<Box<dyn MtsPolicy>> = (0..ell_prime)
-            .map(|i| {
-                config.policy.build(
-                    k_prime as usize,
-                    initial_state as usize,
-                    config.seed.wrapping_add(u64::from(i) + 1),
-                )
-            })
-            .collect();
+        let policies = config.policy.build_many(
+            k_prime as usize,
+            initial_state as usize,
+            (0..ell_prime).map(|i| config.seed.wrapping_add(u64::from(i) + 1)),
+        );
         let cut_state = vec![initial_state; ell_prime as usize];
 
         let assignment = assignment_from_cuts(n, k_prime, ell_prime, shift, &cut_state);
@@ -719,6 +715,20 @@ mod tests {
             (r.ledger, alg.placement().assignment().to_vec())
         };
         assert_eq!(run_once(5), run_once(5));
+    }
+
+    #[test]
+    fn hedge_intervals_share_one_topology() {
+        // All ℓ′ intervals have k′ states, so their policies come from
+        // one template and share one arena topology.
+        let inst = RingInstance::packed(8, 16);
+        let alg = DynamicPartitioner::new(&inst, cfg(PolicyKind::HstHedge, 4));
+        assert!(alg.policies.len() > 1);
+        let first = alg.policies[0].hst_topology().expect("hedge topology");
+        for policy in &alg.policies {
+            let topo = policy.hst_topology().expect("hedge topology");
+            assert!(std::sync::Arc::ptr_eq(first, topo));
+        }
     }
 
     #[test]

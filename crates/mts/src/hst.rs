@@ -27,8 +27,8 @@
 //!
 //! The hierarchy lives in a **flat arena** in BFS order: parallel
 //! `Vec<u32>` topology tables (`lo`/`hi`/`parent`/`child_start`/
-//! `child_count`) built once at construction, and parallel `Vec<f64>`
-//! live state (`log_w`/`phase_cost`) plus the write-through
+//! `child_count`, see [`HstTopology`]) and parallel `Vec<f64>` live
+//! state (`log_w`/`phase_cost`) plus the write-through
 //! conditional-probability cache `cond`, all indexed by arena node.
 //! BFS order gives two invariants the serve paths lean on: a node's
 //! children occupy the contiguous index range
@@ -36,6 +36,13 @@
 //! are adjacent in memory, so the softmax runs over one small slice),
 //! and parents precede children (forward iteration is top-down,
 //! reverse iteration is bottom-up — no recursion, no pointer chasing).
+//!
+//! The topology depends only on `N`, so it is built once per size by
+//! an [`HstTemplate`] and shared behind an `Arc` by every policy the
+//! template instantiates — the dynamic partitioner's `ℓ′` intervals
+//! all have `k′` states and share one. The template also holds the
+//! initial live state and the initial leaf distribution; an instance
+//! copies those, seeds its own RNG and draws its coupling `u`.
 //!
 //! Per-family lane costs are the *conditional* expected costs
 //! `E[cost | child subtree]`, computed bottom-up as
@@ -58,6 +65,7 @@
 //! the cached array is recomputed only when its stamp is stale.
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -80,11 +88,11 @@ const MAX_ARITY: usize = 4;
 /// `parent` sentinel for the root.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Randomized hierarchical-Hedge MTS policy on the line (see module
-/// docs).
+/// The immutable arena topology of one hierarchy size, in BFS order.
+/// Built once per policy template and shared by every policy it
+/// instantiates.
 #[derive(Debug)]
-pub struct HstHedge {
-    // --- immutable arena topology (BFS order; built once) ---
+pub struct HstTopology {
     /// Subtree state range `[lo, hi)` per node.
     lo: Vec<u32>,
     hi: Vec<u32>,
@@ -99,21 +107,264 @@ pub struct HstHedge {
     leaf_of_state: Vec<u32>,
     /// Tree depth in levels (a root-only tree has 1).
     levels: u32,
-    num_states: usize,
-    // --- live state (parallel arrays, indexed by arena node; an
-    // entry is the node's Hedge lane within its parent family — the
-    // root entries are unused and stay 0.0) ---
+}
+
+impl HstTopology {
+    /// Builds the hierarchy over `[0, n)` in BFS order: node 0 is the
+    /// root, every node's children are contiguous, and parents precede
+    /// children. Internal nodes split into `min(MAX_ARITY, width)`
+    /// near-equal parts (the first `width % arity` parts get the extra
+    /// state), so e.g. 48 states level out as 48 → 12 → 3 → 1 with a
+    /// uniform initial leaf distribution.
+    fn build(n: usize) -> Self {
+        let n32 = u32::try_from(n).expect("state count fits u32");
+        let mut lo = vec![0u32];
+        let mut hi = vec![n32];
+        let mut parent = vec![NO_PARENT];
+        let mut depth = vec![0u32];
+        let mut child_start = Vec::new();
+        let mut child_count = Vec::new();
+        let mut leaf_of_state = vec![0u32; n];
+        let mut levels = 1;
+        let mut i = 0;
+        while i < lo.len() {
+            let width = (hi[i] - lo[i]) as usize;
+            if width >= 2 {
+                let arity = width.min(MAX_ARITY);
+                child_start.push(u32::try_from(lo.len()).expect("arena fits u32"));
+                child_count.push(arity as u32);
+                let base = width / arity;
+                let rem = width % arity;
+                let mut cursor = lo[i];
+                for j in 0..arity {
+                    let size = (base + usize::from(j < rem)) as u32;
+                    lo.push(cursor);
+                    hi.push(cursor + size);
+                    parent.push(i as u32);
+                    depth.push(depth[i] + 1);
+                    levels = levels.max(depth[i] + 2);
+                    cursor += size;
+                }
+                debug_assert_eq!(cursor, hi[i], "children must tile the parent");
+            } else {
+                child_start.push(0);
+                child_count.push(0);
+                leaf_of_state[lo[i] as usize] = i as u32;
+            }
+            i += 1;
+        }
+        Self {
+            lo,
+            hi,
+            parent,
+            child_start,
+            child_count,
+            leaf_of_state,
+            levels,
+        }
+    }
+
+    /// Number of arena nodes.
+    fn len(&self) -> usize {
+        self.lo.len()
+    }
+
+    /// Bytes of the six `u32` tables.
+    fn bytes(&self) -> usize {
+        let u32s = self.lo.len()
+            + self.hi.len()
+            + self.parent.len()
+            + self.child_start.len()
+            + self.child_count.len()
+            + self.leaf_of_state.len();
+        u32s * std::mem::size_of::<u32>()
+    }
+
+    /// Writes the normalized leaf distribution for the conditionals
+    /// `cond` into `out` (top-down product of conditionals, normalized
+    /// exactly as [`Distribution::new`] would).
+    fn leaf_probs(&self, cond: &[f64], out: &mut [f64]) {
+        let n_nodes = self.len();
+        let mut node_prob = vec![0.0f64; n_nodes];
+        for i in 0..n_nodes {
+            let p = if self.parent[i] == NO_PARENT {
+                1.0
+            } else {
+                node_prob[self.parent[i] as usize] * cond[i]
+            };
+            node_prob[i] = p;
+            if self.child_count[i] == 0 {
+                out[self.lo[i] as usize] = p;
+            }
+        }
+        let sum: f64 = out.iter().sum();
+        for q in out.iter_mut() {
+            *q /= sum;
+        }
+    }
+}
+
+/// The live Hedge state, as parallel arrays indexed by arena node (an
+/// entry is the node's Hedge lane within its parent family — the root
+/// entries are unused; `log_w`/`phase_cost` stay 0.0 there and
+/// `cond` stays 1.0).
+#[derive(Debug, Clone)]
+struct HedgeState {
     /// Log-domain Hedge weights.
     log_w: Vec<f64>,
     /// Per-phase accumulated expected cost.
     phase_cost: Vec<f64>,
-    // --- caches ---
     /// Write-through conditional-probability cache:
     /// `cond[i] = P(node i | parent(i))`, the softmax of the parent
     /// family's lane weights (`cond[root] = 1.0`). Updated in place
     /// whenever a family's weights change, so a serve never rebuilds
     /// probabilities for untouched families.
     cond: Vec<f64>,
+}
+
+impl HedgeState {
+    /// Recomputes every family's slice of `cond` from `log_w`.
+    fn refresh_all(&mut self, topo: &HstTopology) {
+        for i in 0..topo.len() {
+            let cc = topo.child_count[i] as usize;
+            if cc > 0 {
+                refresh_family_cond(
+                    &self.log_w,
+                    &mut self.cond,
+                    topo.child_start[i] as usize,
+                    cc,
+                );
+            }
+        }
+    }
+
+    /// Charges the per-lane costs to `family` — the single shared
+    /// update both serve paths funnel through: Hedge weight step with
+    /// `η = 1/Δ`, phase accounting, phase reset once every lane has
+    /// suffered ≥ Δ, and the write-through refresh of the family's
+    /// slice of the conditional-probability cache.
+    ///
+    /// Callers have already established that some lane cost is nonzero
+    /// (zero-cost lanes are IEEE no-ops on the accumulators, so a
+    /// family with all-zero costs is skipped without touching the
+    /// cache).
+    fn update_family(&mut self, topo: &HstTopology, family: usize, lane_costs: &[f64]) {
+        let cs = topo.child_start[family] as usize;
+        let cc = topo.child_count[family] as usize;
+        debug_assert_eq!(lane_costs.len(), cc);
+        let span = f64::from(topo.hi[family] - topo.lo[family]);
+        let eta = 1.0 / span;
+        for (lane, &cost) in (cs..cs + cc).zip(lane_costs) {
+            self.log_w[lane] -= eta * cost;
+            self.phase_cost[lane] += cost;
+        }
+        // Phase end: every child has suffered ≥ span — any strategy
+        // inside this subtree paid Ω(span); forgive the past.
+        if self.phase_cost[cs..cs + cc].iter().all(|&p| p >= span) {
+            self.log_w[cs..cs + cc].fill(0.0);
+            self.phase_cost[cs..cs + cc].fill(0.0);
+        }
+        refresh_family_cond(&self.log_w, &mut self.cond, cs, cc);
+    }
+}
+
+/// Construction template for [`HstHedge`] policies of one size: the
+/// shared topology, the initial live state and the initial leaf
+/// distribution, computed once. [`HstTemplate::instantiate`] is the
+/// only way a policy is built; every instance is bit-identical to a
+/// policy built alone with the same `initial` and `seed`.
+#[derive(Debug)]
+pub(crate) struct HstTemplate {
+    topo: Arc<HstTopology>,
+    /// Live state of a fresh policy (all-zero weights and phases, the
+    /// uniform-per-family softmax in `cond`).
+    hedge: HedgeState,
+    /// The initial leaf distribution, as [`HstHedge::leaf_distribution`]
+    /// returns it on a fresh policy.
+    dist: Distribution,
+    /// Initial contents of the leaf-probability cache.
+    probs: Vec<f64>,
+}
+
+impl HstTemplate {
+    /// Builds the template for `num_states` line states.
+    ///
+    /// # Panics
+    /// Panics if `num_states == 0`.
+    pub(crate) fn new(num_states: usize) -> Self {
+        assert!(num_states > 0, "need at least one state");
+        let topo = HstTopology::build(num_states);
+        let n_nodes = topo.len();
+        let mut hedge = HedgeState {
+            log_w: vec![0.0; n_nodes],
+            phase_cost: vec![0.0; n_nodes],
+            cond: vec![0.0; n_nodes],
+        };
+        hedge.cond[0] = 1.0;
+        hedge.refresh_all(&topo);
+        let mut probs = vec![0.0; num_states];
+        let dist = if num_states == 1 {
+            Distribution::point(0, 1)
+        } else {
+            topo.leaf_probs(&hedge.cond, &mut probs);
+            Distribution::new(probs.clone())
+        };
+        Self {
+            topo: Arc::new(topo),
+            hedge,
+            dist,
+            probs,
+        }
+    }
+
+    /// A fresh policy starting at `initial`, seeding its randomness
+    /// from `seed`.
+    ///
+    /// # Panics
+    /// Panics if `initial` is out of range.
+    pub(crate) fn instantiate(&self, initial: usize, seed: u64) -> HstHedge {
+        let num_states = self.probs.len();
+        assert!(initial < num_states, "initial state out of range");
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Draw u uniformly inside initial's quantile block, so the
+        // realized initial state is `initial` while u stays random
+        // within the block (see the same note in `SminGradient::new`).
+        let mut cdf = 0.0;
+        for i in 0..initial {
+            cdf += self.dist.prob(i);
+        }
+        let jitter: f64 = rng.random::<f64>().max(1e-9);
+        let u = (cdf + jitter * self.dist.prob(initial)).clamp(1e-12, 1.0 - 1e-12);
+        let coupling = QuantileCoupling::with_u(&self.dist, u);
+        debug_assert_eq!(coupling.state(), initial);
+        HstHedge {
+            topo: Arc::clone(&self.topo),
+            num_states,
+            hedge: self.hedge.clone(),
+            gen: 1,
+            probs: RefCell::new(self.probs.clone()),
+            // The template's leaf cache is current, except for a single
+            // state, whose distribution never goes through the cache.
+            probs_gen: Cell::new(u64::from(num_states > 1)),
+            val: Vec::new(),
+            coupling,
+            rng,
+            serves: 0,
+            hits: 0,
+            node_visits: 0,
+            cache_hits: 0,
+        }
+    }
+}
+
+/// Randomized hierarchical-Hedge MTS policy on the line (see module
+/// docs).
+#[derive(Debug)]
+pub struct HstHedge {
+    /// Arena topology, shared with every policy of the same template.
+    topo: Arc<HstTopology>,
+    num_states: usize,
+    hedge: HedgeState,
     /// Weight generation: advances whenever any `log_w` changes.
     gen: u64,
     /// Generation-stamped leaf-distribution cache (lazy; only
@@ -123,7 +374,7 @@ pub struct HstHedge {
     /// The `gen` the cached `probs` were computed at.
     probs_gen: Cell<u64>,
     /// Scratch: bottom-up conditional expected costs (aligned with the
-    /// arena; vector-serve path only).
+    /// arena; vector-serve path only, allocated on its first use).
     val: Vec<f64>,
     coupling: QuantileCoupling,
     rng: StdRng,
@@ -138,63 +389,15 @@ pub struct HstHedge {
 
 impl HstHedge {
     /// Creates the policy over `num_states` line states starting at
-    /// `initial`.
+    /// `initial` (a one-off template; use
+    /// [`crate::PolicyKind::build_many`] to build many policies of one
+    /// size over a shared topology).
     ///
     /// # Panics
     /// Panics if `num_states == 0` or `initial >= num_states`.
     #[must_use]
     pub fn new(num_states: usize, initial: usize, seed: u64) -> Self {
-        assert!(num_states > 0, "need at least one state");
-        assert!(initial < num_states, "initial state out of range");
-        let arena = build_arena(num_states);
-        let n_nodes = arena.lo.len();
-        let mut cond = vec![0.0; n_nodes];
-        cond[0] = 1.0;
-        let log_w = vec![0.0; n_nodes];
-        for i in 0..n_nodes {
-            let cc = arena.child_count[i] as usize;
-            if cc > 0 {
-                refresh_family_cond(&log_w, &mut cond, arena.child_start[i] as usize, cc);
-            }
-        }
-        let mut policy = Self {
-            lo: arena.lo,
-            hi: arena.hi,
-            parent: arena.parent,
-            child_start: arena.child_start,
-            child_count: arena.child_count,
-            leaf_of_state: arena.leaf_of_state,
-            levels: arena.levels,
-            num_states,
-            log_w,
-            phase_cost: vec![0.0; n_nodes],
-            cond,
-            gen: 1,
-            probs: RefCell::new(vec![0.0; num_states]),
-            probs_gen: Cell::new(0),
-            val: vec![0.0; n_nodes],
-            // Placeholder; replaced right below once the distribution
-            // exists.
-            coupling: QuantileCoupling::with_u(&Distribution::uniform(num_states.max(1)), 0.5),
-            rng: StdRng::seed_from_u64(seed),
-            serves: 0,
-            hits: 0,
-            node_visits: 0,
-            cache_hits: 0,
-        };
-        let dist = policy.leaf_distribution();
-        // Draw u uniformly inside initial's quantile block, so the
-        // realized initial state is `initial` while u stays random
-        // within the block (see the same note in `SminGradient::new`).
-        let mut cdf = 0.0;
-        for i in 0..initial {
-            cdf += dist.prob(i);
-        }
-        let jitter: f64 = policy.rng.random::<f64>().max(1e-9);
-        let u = (cdf + jitter * dist.prob(initial)).clamp(1e-12, 1.0 - 1e-12);
-        policy.coupling = QuantileCoupling::with_u(&dist, u);
-        debug_assert_eq!(policy.coupling.state(), initial);
-        policy
+        HstTemplate::new(num_states).instantiate(initial, seed)
     }
 
     /// The current leaf distribution (product of conditional Hedge
@@ -207,35 +410,34 @@ impl HstHedge {
             return Distribution::point(0, 1);
         }
         if self.probs_gen.get() != self.gen {
-            self.compute_leaf_probs(&mut self.probs.borrow_mut());
+            self.topo
+                .leaf_probs(&self.hedge.cond, &mut self.probs.borrow_mut());
             self.probs_gen.set(self.gen);
         }
         Distribution::new(self.probs.borrow().clone())
     }
 
-    /// Total bytes of the arena's parallel arrays (topology tables,
-    /// live state, caches, scratch) — the debug accessor behind the
-    /// data-oriented layout work; see DESIGN.md §14.
+    /// Bytes of the arena's parallel arrays as seen by one policy: the
+    /// topology tables (counted in full although policies of one
+    /// template share them), the live state, the caches, and the
+    /// vector-serve scratch at its arena length (whether or not its
+    /// lazy allocation has happened yet) — the debug accessor behind
+    /// the data-oriented layout work; see DESIGN.md §14.
     #[must_use]
     pub fn hst_arena_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let u32s = self.lo.len()
-            + self.hi.len()
-            + self.parent.len()
-            + self.child_start.len()
-            + self.child_count.len()
-            + self.leaf_of_state.len();
-        let f64s = self.log_w.len() + self.phase_cost.len() + self.cond.len() + self.val.len() + {
-            self.probs.borrow().len()
-        };
-        u32s * size_of::<u32>() + f64s * size_of::<f64>()
+        let f64s = self.hedge.log_w.len()
+            + self.hedge.phase_cost.len()
+            + self.hedge.cond.len()
+            + self.topo.len()
+            + self.probs.borrow().len();
+        self.topo.bytes() + f64s * std::mem::size_of::<f64>()
     }
 
     /// Number of levels in the hierarchy (1 for a single state). The
     /// `serve_hit` walk touches at most `hst_levels() - 1` families.
     #[must_use]
     pub fn hst_levels(&self) -> u32 {
-        self.levels
+        self.topo.levels
     }
 
     /// Debug accessor: the state ranges `[lo, hi)` of the families a
@@ -249,66 +451,15 @@ impl HstHedge {
     #[must_use]
     pub fn hit_path(&self, state: usize) -> Vec<(u32, u32)> {
         assert!(state < self.num_states, "state out of range");
-        let mut path = Vec::with_capacity(self.levels as usize);
-        let mut node = self.leaf_of_state[state] as usize;
-        while self.parent[node] != NO_PARENT {
-            let family = self.parent[node] as usize;
-            path.push((self.lo[family], self.hi[family]));
+        let topo = &*self.topo;
+        let mut path = Vec::with_capacity(topo.levels as usize);
+        let mut node = topo.leaf_of_state[state] as usize;
+        while topo.parent[node] != NO_PARENT {
+            let family = topo.parent[node] as usize;
+            path.push((topo.lo[family], topo.hi[family]));
             node = family;
         }
         path
-    }
-
-    /// Writes the normalized leaf distribution into `out` (top-down
-    /// product of conditionals, normalized exactly as
-    /// [`Distribution::new`] would).
-    fn compute_leaf_probs(&self, out: &mut [f64]) {
-        let n_nodes = self.lo.len();
-        let mut node_prob = vec![0.0f64; n_nodes];
-        for i in 0..n_nodes {
-            let p = if self.parent[i] == NO_PARENT {
-                1.0
-            } else {
-                node_prob[self.parent[i] as usize] * self.cond[i]
-            };
-            node_prob[i] = p;
-            if self.child_count[i] == 0 {
-                out[self.lo[i] as usize] = p;
-            }
-        }
-        let sum: f64 = out.iter().sum();
-        for q in out.iter_mut() {
-            *q /= sum;
-        }
-    }
-
-    /// Charges the per-lane costs to `family` — the single shared
-    /// update both serve paths funnel through: Hedge weight step with
-    /// `η = 1/Δ`, phase accounting, phase reset once every lane has
-    /// suffered ≥ Δ, and the write-through refresh of the family's
-    /// slice of the conditional-probability cache.
-    ///
-    /// Callers have already established that some lane cost is nonzero
-    /// (zero-cost lanes are IEEE no-ops on the accumulators, so a
-    /// family with all-zero costs is skipped without touching the
-    /// cache).
-    fn update_family(&mut self, family: usize, lane_costs: &[f64]) {
-        let cs = self.child_start[family] as usize;
-        let cc = self.child_count[family] as usize;
-        debug_assert_eq!(lane_costs.len(), cc);
-        let span = f64::from(self.hi[family] - self.lo[family]);
-        let eta = 1.0 / span;
-        for (lane, &cost) in (cs..cs + cc).zip(lane_costs) {
-            self.log_w[lane] -= eta * cost;
-            self.phase_cost[lane] += cost;
-        }
-        // Phase end: every child has suffered ≥ span — any strategy
-        // inside this subtree paid Ω(span); forgive the past.
-        if self.phase_cost[cs..cs + cc].iter().all(|&p| p >= span) {
-            self.log_w[cs..cs + cc].fill(0.0);
-            self.phase_cost[cs..cs + cc].fill(0.0);
-        }
-        refresh_family_cond(&self.log_w, &mut self.cond, cs, cc);
     }
 
     /// The cost-vector serve body: one bottom-up sweep computing the
@@ -319,24 +470,28 @@ impl HstHedge {
     /// `serve_hit` walk's old-cond read reproduces.
     fn serve_vector_body(&mut self, costs: &[f64]) -> usize {
         self.cache_hits += 1;
-        let mut val = std::mem::take(&mut self.val);
-        let n_nodes = self.lo.len();
+        let topo = &*self.topo;
+        let n_nodes = topo.len();
+        if self.val.is_empty() {
+            self.val = vec![0.0; n_nodes];
+        }
+        let val = &mut self.val;
         for i in (0..n_nodes).rev() {
-            let cc = self.child_count[i] as usize;
+            let cc = topo.child_count[i] as usize;
             val[i] = if cc == 0 {
-                costs[self.lo[i] as usize]
+                costs[topo.lo[i] as usize]
             } else {
-                let cs = self.child_start[i] as usize;
-                (cs..cs + cc).map(|c| self.cond[c] * val[c]).sum()
+                let cs = topo.child_start[i] as usize;
+                (cs..cs + cc).map(|c| self.hedge.cond[c] * val[c]).sum()
             };
         }
         let mut touched = false;
         for i in (0..n_nodes).rev() {
-            let cc = self.child_count[i] as usize;
+            let cc = topo.child_count[i] as usize;
             if cc == 0 {
                 continue;
             }
-            let cs = self.child_start[i] as usize;
+            let cs = topo.child_start[i] as usize;
             if val[cs..cs + cc].iter().all(|&c| c == 0.0) {
                 continue;
             }
@@ -344,12 +499,11 @@ impl HstHedge {
             touched = true;
             let mut lanes = [0.0f64; MAX_ARITY];
             lanes[..cc].copy_from_slice(&val[cs..cs + cc]);
-            self.update_family(i, &lanes[..cc]);
+            self.hedge.update_family(topo, i, &lanes[..cc]);
         }
         if touched {
             self.gen = self.gen.wrapping_add(1);
         }
-        self.val = val;
         self.descend_and_follow()
     }
 
@@ -368,19 +522,22 @@ impl HstHedge {
     /// arena-walk proptests).
     fn serve_hit_body(&mut self, index: usize) -> usize {
         self.cache_hits += 1;
-        let mut node = self.leaf_of_state[index] as usize;
+        // One topology reference for the whole walk: the shared `Arc`
+        // is dereferenced once, not per family.
+        let topo = &*self.topo;
+        let mut node = topo.leaf_of_state[index] as usize;
         let mut val = 1.0f64;
         let mut touched = false;
-        while self.parent[node] != NO_PARENT && val != 0.0 {
-            let family = self.parent[node] as usize;
-            let next_val = self.cond[node] * val;
-            let cs = self.child_start[family] as usize;
-            let cc = self.child_count[family] as usize;
+        while topo.parent[node] != NO_PARENT && val != 0.0 {
+            let family = topo.parent[node] as usize;
+            let next_val = self.hedge.cond[node] * val;
+            let cs = topo.child_start[family] as usize;
+            let cc = topo.child_count[family] as usize;
             let mut lanes = [0.0f64; MAX_ARITY];
             lanes[node - cs] = val;
             self.node_visits += 1;
             touched = true;
-            self.update_family(family, &lanes[..cc]);
+            self.hedge.update_family(topo, family, &lanes[..cc]);
             val = next_val;
             node = family;
         }
@@ -400,16 +557,17 @@ impl HstHedge {
     /// walk is monotone in `u` and the coupling remains an optimal
     /// transport along the leaf order.
     fn descend_and_follow(&mut self) -> usize {
+        let topo = &*self.topo;
         let mut u = self.coupling.u();
         let mut node = 0usize;
-        while self.child_count[node] != 0 {
-            let cs = self.child_start[node] as usize;
-            let cc = self.child_count[node] as usize;
+        while topo.child_count[node] != 0 {
+            let cs = topo.child_start[node] as usize;
+            let cc = topo.child_count[node] as usize;
             let mut cdf = 0.0f64;
             let mut last_positive = cs;
             let mut chosen = usize::MAX;
             for c in cs..cs + cc {
-                let p = self.cond[c];
+                let p = self.hedge.cond[c];
                 if p > 0.0 {
                     last_positive = c;
                 }
@@ -431,74 +589,9 @@ impl HstHedge {
             }
             node = chosen;
         }
-        let state = self.lo[node] as usize;
+        let state = topo.lo[node] as usize;
         self.coupling.follow_to(state);
         state
-    }
-}
-
-/// The arena topology tables, in BFS order.
-struct Arena {
-    lo: Vec<u32>,
-    hi: Vec<u32>,
-    parent: Vec<u32>,
-    child_start: Vec<u32>,
-    child_count: Vec<u32>,
-    leaf_of_state: Vec<u32>,
-    levels: u32,
-}
-
-/// Builds the hierarchy over `[0, n)` in BFS order: node 0 is the
-/// root, every node's children are contiguous, and parents precede
-/// children. Internal nodes split into `min(MAX_ARITY, width)`
-/// near-equal parts (the first `width % arity` parts get the extra
-/// state), so e.g. 48 states level out as 48 → 12 → 3 → 1 with a
-/// uniform initial leaf distribution.
-fn build_arena(n: usize) -> Arena {
-    let n32 = u32::try_from(n).expect("state count fits u32");
-    let mut lo = vec![0u32];
-    let mut hi = vec![n32];
-    let mut parent = vec![NO_PARENT];
-    let mut depth = vec![0u32];
-    let mut child_start = Vec::new();
-    let mut child_count = Vec::new();
-    let mut leaf_of_state = vec![0u32; n];
-    let mut levels = 1;
-    let mut i = 0;
-    while i < lo.len() {
-        let width = (hi[i] - lo[i]) as usize;
-        if width >= 2 {
-            let arity = width.min(MAX_ARITY);
-            child_start.push(u32::try_from(lo.len()).expect("arena fits u32"));
-            child_count.push(arity as u32);
-            let base = width / arity;
-            let rem = width % arity;
-            let mut cursor = lo[i];
-            for j in 0..arity {
-                let size = (base + usize::from(j < rem)) as u32;
-                lo.push(cursor);
-                hi.push(cursor + size);
-                parent.push(i as u32);
-                depth.push(depth[i] + 1);
-                levels = levels.max(depth[i] + 2);
-                cursor += size;
-            }
-            debug_assert_eq!(cursor, hi[i], "children must tile the parent");
-        } else {
-            child_start.push(0);
-            child_count.push(0);
-            leaf_of_state[lo[i] as usize] = i as u32;
-        }
-        i += 1;
-    }
-    Arena {
-        lo,
-        hi,
-        parent,
-        child_start,
-        child_count,
-        leaf_of_state,
-        levels,
     }
 }
 
@@ -560,6 +653,10 @@ impl MtsPolicy for HstHedge {
         "hst-hedge"
     }
 
+    fn hst_topology(&self) -> Option<&Arc<HstTopology>> {
+        Some(&self.topo)
+    }
+
     // The arena topology is construction-derived from `num_states`;
     // only the flat Hedge weights and phase accumulators are live
     // state, plus the coupling and RNG. `probs_fresh` rides along so a
@@ -571,8 +668,8 @@ impl MtsPolicy for HstHedge {
     // drift the snapshot round-trip tests pin down.
     fn export_state(&self) -> Option<Value> {
         Some(Value::Obj(vec![
-            ("log_w".into(), self.log_w.to_value()),
-            ("phase_cost".into(), self.phase_cost.to_value()),
+            ("log_w".into(), self.hedge.log_w.to_value()),
+            ("phase_cost".into(), self.hedge.phase_cost.to_value()),
             ("coupling".into(), coupling_to_value(&self.coupling)),
             ("rng".into(), self.rng.to_value()),
             (
@@ -585,7 +682,7 @@ impl MtsPolicy for HstHedge {
     fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
         let log_w = <Vec<f64> as Deserialize>::from_value(state.get_field("log_w")?)?;
         let phase = <Vec<f64> as Deserialize>::from_value(state.get_field("phase_cost")?)?;
-        let n_nodes = self.lo.len();
+        let n_nodes = self.topo.len();
         if log_w.len() != n_nodes || phase.len() != n_nodes {
             return Err(DeError(format!(
                 "arena length mismatch: snapshot has {}/{} entries, arena has {n_nodes}",
@@ -597,26 +694,17 @@ impl MtsPolicy for HstHedge {
         let probs_fresh = bool::from_value(state.get_field("probs_fresh")?)?;
         self.rng = StdRng::from_value(state.get_field("rng")?)?;
         self.coupling = coupling;
-        self.log_w = log_w;
-        self.phase_cost = phase;
+        self.hedge.log_w = log_w;
+        self.hedge.phase_cost = phase;
         // Rebuild the write-through conditional cache for the restored
         // weights (bit-identical: the same shared softmax the serve
         // paths use), then honor the snapshot's leaf-cache freshness.
-        for i in 0..n_nodes {
-            let cc = self.child_count[i] as usize;
-            if cc > 0 {
-                refresh_family_cond(
-                    &self.log_w,
-                    &mut self.cond,
-                    self.child_start[i] as usize,
-                    cc,
-                );
-            }
-        }
+        self.hedge.refresh_all(&self.topo);
         self.gen = 1;
         if probs_fresh {
             if self.num_states > 1 {
-                self.compute_leaf_probs(&mut self.probs.borrow_mut());
+                self.topo
+                    .leaf_probs(&self.hedge.cond, &mut self.probs.borrow_mut());
             }
             self.probs_gen.set(self.gen);
         } else {
@@ -672,37 +760,52 @@ mod tests {
     fn arena_invariants_hold_across_sizes() {
         for n in [1usize, 2, 3, 5, 8, 13, 31, 48, 100] {
             let p = HstHedge::new(n, 0, 7);
-            let nodes = p.lo.len();
-            assert_eq!(p.lo[0], 0);
-            assert_eq!(p.hi[0] as usize, n);
-            assert_eq!(p.parent[0], NO_PARENT);
+            let t = &*p.topo;
+            let nodes = t.len();
+            assert_eq!(t.lo[0], 0);
+            assert_eq!(t.hi[0] as usize, n);
+            assert_eq!(t.parent[0], NO_PARENT);
             for i in 0..nodes {
-                assert!(p.lo[i] < p.hi[i], "n={n}: empty node {i}");
-                let cc = p.child_count[i] as usize;
+                assert!(t.lo[i] < t.hi[i], "n={n}: empty node {i}");
+                let cc = t.child_count[i] as usize;
                 if cc == 0 {
-                    assert_eq!(p.hi[i] - p.lo[i], 1, "n={n}: wide leaf {i}");
+                    assert_eq!(t.hi[i] - t.lo[i], 1, "n={n}: wide leaf {i}");
                     continue;
                 }
                 // Children are contiguous, tile the parent, and come
                 // after it (BFS).
-                let cs = p.child_start[i] as usize;
+                let cs = t.child_start[i] as usize;
                 assert!(cs > i, "n={n}: child before parent");
-                let mut cursor = p.lo[i];
+                let mut cursor = t.lo[i];
                 for c in cs..cs + cc {
-                    assert_eq!(p.parent[c] as usize, i);
-                    assert_eq!(p.lo[c], cursor);
-                    cursor = p.hi[c];
+                    assert_eq!(t.parent[c] as usize, i);
+                    assert_eq!(t.lo[c], cursor);
+                    cursor = t.hi[c];
                 }
-                assert_eq!(cursor, p.hi[i], "n={n}: children must tile node {i}");
+                assert_eq!(cursor, t.hi[i], "n={n}: children must tile node {i}");
             }
             for s in 0..n {
-                let leaf = p.leaf_of_state[s] as usize;
-                assert_eq!(p.lo[leaf] as usize, s);
-                assert_eq!(p.child_count[leaf], 0);
+                let leaf = t.leaf_of_state[s] as usize;
+                assert_eq!(t.lo[leaf] as usize, s);
+                assert_eq!(t.child_count[leaf], 0);
             }
             assert!(p.hst_arena_bytes() > 0);
             assert!(p.hst_levels() >= 1);
         }
+    }
+
+    #[test]
+    fn arena_bytes_of_the_ledger_probe_are_stable() {
+        // `s7_arena_ledger.csv` records this probe's footprint; the
+        // lazy `val` scratch is counted at its arena length before and
+        // after its allocation, so neither sharing the topology nor
+        // deferring the scratch moves the figure.
+        let mut p = HstHedge::new(48, 24, 1);
+        assert_eq!(p.hst_arena_bytes(), 4164);
+        assert!(p.val.is_empty(), "scratch is allocated on first use");
+        p.serve(&unit(48, 3));
+        assert_eq!(p.val.len(), p.topo.len());
+        assert_eq!(p.hst_arena_bytes(), 4164);
     }
 
     #[test]

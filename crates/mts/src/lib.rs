@@ -38,7 +38,7 @@ mod smin_policy;
 mod vecops;
 mod workfn;
 
-pub use hst::HstHedge;
+pub use hst::{HstHedge, HstTopology};
 pub use marking::Marking;
 pub use policy::{run_policy, MtsCosts, MtsPolicy, PolicyCounters, PolicyKind};
 pub use smin_policy::SminGradient;

@@ -1,6 +1,10 @@
 //! The policy interface and the MTS cost model.
 
+use std::sync::Arc;
+
 use serde::{DeError, Value};
+
+use crate::hst::{HstTemplate, HstTopology};
 
 /// Deterministic work counters of one MTS policy instance — the
 /// policy-layer slice of the perf gate's counter taxonomy (see
@@ -162,6 +166,13 @@ pub trait MtsPolicy {
     fn work_counters(&self) -> PolicyCounters {
         PolicyCounters::default()
     }
+
+    /// Debug accessor: the arena topology of a [`crate::HstHedge`]
+    /// (`None` for every other policy). Policies built together by
+    /// [`PolicyKind::build_many`] return the same `Arc`.
+    fn hst_topology(&self) -> Option<&Arc<HstTopology>> {
+        None
+    }
 }
 
 /// Serializes a [`rdbp_smin::QuantileCoupling`] as `[u, state, moved]`.
@@ -223,6 +234,34 @@ impl PolicyKind {
             PolicyKind::HstHedge => Box::new(crate::HstHedge::new(num_states, initial, seed)),
             PolicyKind::Marking => Box::new(crate::Marking::new(num_states, initial, seed)),
         }
+    }
+
+    /// Builds one policy per seed, all over `num_states` line states
+    /// starting at `initial`; policy `i` equals
+    /// `self.build(num_states, initial, seeds[i])`. Hedge policies are
+    /// instantiated from one template, so they share a single arena
+    /// topology; the other kinds are built one by one.
+    ///
+    /// # Panics
+    /// Panics if `num_states == 0` or `initial >= num_states`.
+    #[must_use]
+    pub fn build_many(
+        self,
+        num_states: usize,
+        initial: usize,
+        seeds: impl IntoIterator<Item = u64>,
+    ) -> Vec<Box<dyn MtsPolicy>> {
+        if self == PolicyKind::HstHedge {
+            let template = HstTemplate::new(num_states);
+            return seeds
+                .into_iter()
+                .map(|seed| Box::new(template.instantiate(initial, seed)) as Box<dyn MtsPolicy>)
+                .collect();
+        }
+        seeds
+            .into_iter()
+            .map(|seed| self.build(num_states, initial, seed))
+            .collect()
     }
 
     /// Stable label for file names and reports.

@@ -1,7 +1,10 @@
 //! Cross-module property tests for the MTS crate: exactness of the
 //! offline DP, competitiveness sanity of each online policy, and the
 //! arena-layout differentials (flat walk ≡ reference pointer tree,
-//! snapshot round-trips of the flattened caches).
+//! snapshot round-trips of the flattened caches, template-built ≡
+//! standalone policies).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rdbp_mts::{offline, run_policy, HstHedge, MtsPolicy, PolicyKind};
@@ -214,6 +217,107 @@ proptest! {
                 "leaf {} diverged after round-trip", i
             );
         }
+    }
+}
+
+/// Hierarchy sizes of the template differential: the degenerate and
+/// odd-arity small trees, and the interval sizes `k′ = ⌈1.5·k⌉` the
+/// benchmarks pin (k = 32, 64, 256, 1024).
+const TEMPLATE_SIZES: [usize; 10] = [1, 2, 3, 4, 5, 7, 48, 96, 384, 1536];
+
+/// Bit-exact rendering of an exported snapshot (`{:?}` of an `f64`
+/// distinguishes every non-NaN bit pattern, `-0.0` included).
+fn snapshot_bits(p: &dyn MtsPolicy) -> String {
+    format!("{:?}", p.export_state().expect("hedge exports state"))
+}
+
+/// Checks a fresh policy's snapshot against the state a fresh
+/// `HstHedge` is specified to start in, rebuilt independently: zero
+/// weights and phases over the whole arena, the coupling at `initial`
+/// with `u` drawn inside `initial`'s quantile block by the seed's first
+/// `f64`, and a current leaf cache exactly when the distribution goes
+/// through it (`n > 1`).
+fn assert_fresh_snapshot(p: &HstHedge, initial: usize, seed: u64) {
+    use rand::{RngExt, SeedableRng};
+    use serde::Deserialize;
+    let n = p.num_states();
+    let snap = p.export_state().expect("hedge exports state");
+    let field = |k: &str| snap.get_field(k).expect("snapshot field");
+    let log_w = <Vec<f64>>::from_value(field("log_w")).expect("log_w");
+    let phase = <Vec<f64>>::from_value(field("phase_cost")).expect("phase_cost");
+    assert_eq!(log_w.len(), phase.len());
+    assert!(
+        log_w.len() >= n,
+        "the arena holds at least one leaf per state"
+    );
+    assert!(log_w.iter().chain(&phase).all(|&x| x.to_bits() == 0));
+    assert_eq!(bool::from_value(field("probs_fresh")).expect("flag"), n > 1);
+
+    let dist = p.leaf_distribution();
+    let cdf: f64 = (0..initial).map(|i| dist.prob(i)).sum();
+    let jitter = rand::rngs::StdRng::seed_from_u64(seed)
+        .random::<f64>()
+        .max(1e-9);
+    let u = (cdf + jitter * dist.prob(initial)).clamp(1e-12, 1.0 - 1e-12);
+    let coupling = <(f64, usize, u64)>::from_value(field("coupling")).expect("coupling");
+    assert_eq!(
+        (coupling.0.to_bits(), coupling.1, coupling.2),
+        (u.to_bits(), initial, 0)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Template instantiation is bit-identical to a standalone build:
+    /// a policy from `build_many` exports the same snapshot as
+    /// `HstHedge::new` with its seed, both before and after a mixed
+    /// `serve_hit`/`serve` trajectory in which every realized state and
+    /// every work counter agrees. The fresh state itself is checked
+    /// against an independent reference, and the batch shares one
+    /// topology.
+    #[test]
+    fn template_instances_equal_standalone_policies(
+        size in 0usize..TEMPLATE_SIZES.len(),
+        init_raw in 0usize..1 << 20,
+        seed in 0u64..1 << 40,
+        steps in 1usize..120,
+    ) {
+        let n = TEMPLATE_SIZES[size];
+        let initial = init_raw % n;
+        let seeds = [seed.wrapping_mul(3), seed, seed.wrapping_add(1)];
+        let mut batch = PolicyKind::HstHedge.build_many(n, initial, seeds);
+        for p in &batch {
+            prop_assert!(Arc::ptr_eq(
+                p.hst_topology().expect("hedge topology"),
+                batch[0].hst_topology().expect("hedge topology"),
+            ));
+        }
+        let mut alone = HstHedge::new(n, initial, seed);
+        assert_fresh_snapshot(&alone, initial, seed);
+        let (head, tail) = batch.split_at_mut(1);
+        let (sibling, templated) = (head[0].as_mut(), tail[0].as_mut());
+        prop_assert_eq!(snapshot_bits(templated), snapshot_bits(&alone));
+
+        let mut costs = vec![0.0; n];
+        for t in 0..steps {
+            let mix = (seed as usize).wrapping_add(t.wrapping_mul(0x9e37));
+            // A sibling of the same template serves in between: sharing
+            // the template must not couple the instances.
+            sibling.serve_hit((mix >> 3) % n);
+            let (a, b) = if t % 4 == 3 {
+                for (i, c) in costs.iter_mut().enumerate() {
+                    *c = ((i ^ mix) % 5) as f64 * 0.25;
+                }
+                (templated.serve(&costs), alone.serve(&costs))
+            } else {
+                let hit = mix % n;
+                (templated.serve_hit(hit), alone.serve_hit(hit))
+            };
+            prop_assert_eq!(a, b, "n={} step {} diverged", n, t);
+        }
+        prop_assert_eq!(snapshot_bits(templated), snapshot_bits(&alone));
+        prop_assert_eq!(templated.work_counters(), alone.work_counters());
     }
 }
 

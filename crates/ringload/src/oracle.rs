@@ -23,10 +23,12 @@
 //!
 //! for **every** offset `c`; the oracle maximizes over a deterministic
 //! sample of offsets (each individually sound, so sampling never breaks
-//! the certificate). This is the demands-across-cuts idea of the
-//! ring-loading solver transported to the time axis: a phase is
-//! exactly the moment the demand across every cut position of the
-//! window has become positive.
+//! the certificate): every `s`-th offset of `0..k` with stride
+//! `s = max(⌊k/max_offsets⌋, 1)`, i.e. `⌈k/s⌉` offsets — all `k` of
+//! them when `k < 2·max_offsets`, and at most `2·max_offsets − 1`.
+//! This is the demands-across-cuts idea of the ring-loading solver
+//! transported to the time axis: a phase is exactly the moment the
+//! demand across every cut position of the window has become positive.
 //!
 //! ## Upper bound: explicit feasible schedules
 //!
@@ -48,9 +50,12 @@ use rdbp_offline::OfflineOracle;
 /// at sizes far beyond the exact solvers (see module docs).
 #[derive(Debug, Clone)]
 pub struct RingloadOracle {
-    /// Maximum number of window offsets the lower bound maximizes over
-    /// (each offset is individually sound; more offsets only tighten
-    /// the bound). Sampled deterministically from `0..k`.
+    /// Offset budget of the lower bound: it maximizes over every
+    /// `s`-th window offset of `0..k`, stride
+    /// `s = max(⌊k/max_offsets⌋, 1)`, which is `⌈k/s⌉` offsets — not a
+    /// hard cap: up to `2·max_offsets − 1` of them (`k = 100` with the
+    /// default 64 samples all 100). Each offset is individually sound;
+    /// more offsets only tighten the bound.
     pub max_offsets: usize,
     /// Maximum number of candidate rotations the upper bound evaluates
     /// migration costs for (pre-ranked by their cut sets' aggregate
