@@ -30,6 +30,15 @@
 //! transported to the time axis: a phase is exactly the moment the
 //! demand across every cut position of the window has become positive.
 //!
+//! The scan is lane-parallel: one pass over the trace advances up to
+//! 64 sampled offsets ("lanes") together, one bit each of a per-edge
+//! `u64` seen-word, so a request already seen in every lane costs one
+//! load and one NOT. Per group of lanes the cost is one word
+//! operation per request, plus one counter bump per newly seen
+//! (request, offset) pair, plus `k` per completed phase, in `O(n)`
+//! words of scratch. `oracle_cut_evals` counts the (offset, request)
+//! pairs decided — offsets × trace length — not loop iterations.
+//!
 //! ## Upper bound: explicit feasible schedules
 //!
 //! Any feasible schedule's cost upper-bounds `OPT`. The oracle
@@ -85,6 +94,12 @@ impl RingloadOracle {
 
     /// The phase count of the best sampled window offset (twice the
     /// lower bound, kept integral).
+    ///
+    /// The sampled offsets run in groups of up to [`LANES`], one pass
+    /// over the trace per group (see [`best_in_group`]).
+    /// `oracle_cut_evals` counts the (offset, request) pairs decided —
+    /// offsets × trace length — not loop iterations, so it does not
+    /// depend on how the scan is organised.
     fn best_phase_count(&mut self, instance: &RingInstance, trace: &[Edge]) -> u64 {
         let n = instance.n();
         let k = instance.capacity();
@@ -92,32 +107,15 @@ impl RingloadOracle {
             // One server could hold the whole ring: no forced cuts.
             return 0;
         }
-        let windows = (n / k) as usize;
-        let covered = windows * k as usize;
         let step = (k as usize / self.max_offsets.max(1)).max(1);
-        let mut seen = vec![false; covered];
-        let mut count = vec![0u32; windows];
+        let offsets: Vec<u32> = (0..k).step_by(step).collect();
+        let windows = (n / k) as usize;
+        let mut seen = vec![0u64; n as usize];
+        let mut count = vec![0u32; windows * offsets.len().min(LANES)];
         let mut best = 0u64;
-        for c in (0..k).step_by(step) {
-            seen.fill(false);
-            count.fill(0);
-            let mut phases = 0u64;
-            for e in trace {
-                let pos = ((e.0 + n - c) % n) as usize;
-                if pos < covered && !seen[pos] {
-                    seen[pos] = true;
-                    let w = pos / k as usize;
-                    count[w] += 1;
-                    if count[w] == k {
-                        // Window complete: one phase banked, reset it.
-                        phases += 1;
-                        count[w] = 0;
-                        seen[w * k as usize..(w + 1) * k as usize].fill(false);
-                    }
-                }
-            }
-            self.cut_evals += trace.len() as u64;
-            best = best.max(phases);
+        for lanes in offsets.chunks(LANES) {
+            best = best.max(best_in_group(k, lanes, trace, &mut seen, &mut count));
+            self.cut_evals += (lanes.len() * trace.len()) as u64;
         }
         best
     }
@@ -178,6 +176,91 @@ impl RingloadOracle {
             best = best.min(first_charge + moves + comm);
         }
         best
+    }
+}
+
+/// Offsets ("lanes") one pass of the phase scan advances together: one
+/// bit each of a `u64` seen-word.
+const LANES: usize = 64;
+
+/// The most complete phases of any window offset in `lanes` (at most
+/// [`LANES`], each `< k`), in one pass over `trace`.
+///
+/// `seen[e]` holds one bit per lane: edge `e` was requested in the
+/// current phase of its window in that lane. Bits of unused lanes, and
+/// of lanes whose windows leave `e` uncovered (`n` not a multiple of
+/// `k`), start set and are never cleared, so a request's newly seen
+/// lanes are one load and one NOT, and a request already seen in every
+/// lane costs nothing more. Each newly seen lane bumps its window's
+/// counter; a counter reaching `k` banks a phase and clears that lane's
+/// bit over the window's `k` edges. `count` holds the per-lane window
+/// counters, `windows × lanes.len()` of them.
+fn best_in_group(
+    k: u32,
+    lanes: &[u32],
+    trace: &[Edge],
+    seen: &mut [u64],
+    count: &mut [u32],
+) -> u64 {
+    let n = seen.len();
+    let k_us = k as usize;
+    let windows = n / k_us;
+    let covered = windows * k_us;
+    let width = lanes.len();
+    seen.fill(u64::MAX.checked_shl(width as u32).unwrap_or(0));
+    if covered < n {
+        for (j, &c) in lanes.iter().enumerate() {
+            // Lane j's windows tile [c, c + covered): the rest is never new.
+            let start = (c as usize + covered) % n;
+            for part in arc(seen, start, n - covered) {
+                part.iter_mut().for_each(|s| *s |= 1 << j);
+            }
+        }
+    }
+    let count = &mut count[..windows * width];
+    count.fill(0);
+    let mut phases = [0u64; LANES];
+    for e in trace {
+        let e = e.0 as usize;
+        let mut newly = !seen[e];
+        if newly == 0 {
+            continue;
+        }
+        seen[e] = u64::MAX;
+        // Lane j's window holding e starts at c_j + w·k with c_j < k:
+        // block q = ⌊e/k⌋ when c_j ≤ e mod k, else the block before it
+        // (cyclically — lanes that would leave e uncovered are masked).
+        let (q, r) = (e / k_us, e % k_us);
+        let before = if q == 0 { windows - 1 } else { q - 1 };
+        while newly != 0 {
+            let j = newly.trailing_zeros() as usize;
+            newly &= newly - 1;
+            let c = lanes[j] as usize;
+            let w = if c <= r { q } else { before };
+            let slot = w * width + j;
+            count[slot] += 1;
+            if count[slot] == k {
+                // Window complete: one phase banked, reset it.
+                count[slot] = 0;
+                phases[j] += 1;
+                for part in arc(seen, c + w * k_us, k_us) {
+                    part.iter_mut().for_each(|s| *s &= !(1 << j));
+                }
+            }
+        }
+    }
+    phases.into_iter().max().unwrap_or(0)
+}
+
+/// The cyclic run of `len ≤ words.len()` words starting at
+/// `start < words.len()`, as at most two contiguous slices.
+fn arc(words: &mut [u64], start: usize, len: usize) -> [&mut [u64]; 2] {
+    let (head, tail) = words.split_at_mut(start);
+    if len <= tail.len() {
+        [&mut tail[..len], &mut []]
+    } else {
+        let wrapped = len - tail.len();
+        [tail, &mut head[..wrapped]]
     }
 }
 

@@ -204,6 +204,13 @@ impl RingLoading {
         }
     }
 
+    /// Moves `d`'s load off its route in direction `from_cw` onto the
+    /// complementary arc.
+    fn reroute(&self, d: Demand, from_cw: bool, loads: &mut [u64]) {
+        self.path(d.from, d.to, from_cw, |e| loads[e] -= d.amount);
+        self.path(d.from, d.to, !from_cw, |e| loads[e] += d.amount);
+    }
+
     /// The partial-integer rounding step: routes every demand
     /// integrally — greedy insertion in decreasing amount, then
     /// bounded local-search sweeps flipping single demands while the
@@ -252,8 +259,10 @@ impl RingLoading {
 
         // Local-search rounding sweeps: flip any demand whose reversal
         // lowers the maximum load, until a sweep finds nothing (bounded
-        // so the counter stays small and deterministic).
+        // so the counter stays small and deterministic). A flip is
+        // tried in place and reverted unless it improves.
         const MAX_SWEEPS: u32 = 8;
+        let mut current_max = loads.iter().copied().max().unwrap_or(0);
         for _ in 0..MAX_SWEEPS {
             self.rounding_passes += 1;
             let mut improved = false;
@@ -261,15 +270,14 @@ impl RingLoading {
                 if d.amount == 0 {
                     continue;
                 }
-                let current_max = loads.iter().copied().max().unwrap_or(0);
-                let mut trial = loads.clone();
-                self.path(d.from, d.to, *cw, |e| trial[e] -= d.amount);
-                self.path(d.from, d.to, !*cw, |e| trial[e] += d.amount);
-                let trial_max = trial.iter().copied().max().unwrap_or(0);
+                self.reroute(d, *cw, &mut loads);
+                let trial_max = loads.iter().copied().max().unwrap_or(0);
                 if trial_max < current_max {
                     *cw = !*cw;
-                    loads = trial;
+                    current_max = trial_max;
                     improved = true;
+                } else {
+                    self.reroute(d, !*cw, &mut loads);
                 }
             }
             if !improved {
@@ -277,11 +285,10 @@ impl RingLoading {
             }
         }
 
-        let max_load = loads.iter().copied().max().unwrap_or(0);
         Routing {
             clockwise,
             loads,
-            max_load,
+            max_load: current_max,
         }
     }
 

@@ -15,7 +15,10 @@
 //! `max D(g,h)/2` on a cycle), the half-split `{0, ½, 1}` routing grid
 //! must land inside the split↔unsplit sandwich, and the rounded
 //! routing must respect the Schrijver–Seymour–Winkler bound
-//! `unsplit ≤ split + 3/2·max demand`.
+//! `unsplit ≤ split + 3/2·max demand`. And a differential test: the
+//! oracle's lane-parallel phase scan must return the same lower bound
+//! and the same `oracle_cut_evals` as the plain one-pass-per-offset
+//! scan on random traces.
 
 use proptest::prelude::*;
 use rdbp::model::observers::TraceRecorder;
@@ -189,5 +192,159 @@ proptest! {
             rounded.max_load,
             rounded.loads.iter().copied().max().unwrap_or(0)
         );
+    }
+}
+
+/// The plain phase scan: one pass over the trace per sampled window
+/// offset (DESIGN.md §13). Returns the best phase count and the
+/// (offset, request) pairs decided — the reference for the oracle's
+/// lane-parallel scan and its `oracle_cut_evals`.
+fn per_offset_phase_count(
+    instance: &RingInstance,
+    max_offsets: usize,
+    trace: &[Edge],
+) -> (u64, u64) {
+    let n = instance.n();
+    let k = instance.capacity();
+    if n <= k {
+        return (0, 0);
+    }
+    let windows = (n / k) as usize;
+    let covered = windows * k as usize;
+    let step = (k as usize / max_offsets.max(1)).max(1);
+    let mut seen = vec![false; covered];
+    let mut count = vec![0u32; windows];
+    let (mut best, mut evals) = (0u64, 0u64);
+    for c in (0..k).step_by(step) {
+        seen.fill(false);
+        count.fill(0);
+        let mut phases = 0u64;
+        for e in trace {
+            let pos = ((e.0 + n - c) % n) as usize;
+            if pos < covered && !seen[pos] {
+                seen[pos] = true;
+                let w = pos / k as usize;
+                count[w] += 1;
+                if count[w] == k {
+                    phases += 1;
+                    count[w] = 0;
+                    seen[w * k as usize..(w + 1) * k as usize].fill(false);
+                }
+            }
+        }
+        evals += trace.len() as u64;
+        best = best.max(phases);
+    }
+    (best, evals)
+}
+
+/// Capacities around the 64-lane group boundary: one group for
+/// `k ≤ 64`, two for `64 < k < 128` at the default offset budget.
+const SCAN_CAPACITIES: [u32; 8] = [1, 2, 63, 64, 65, 100, 127, 256];
+const SCAN_OFFSET_BUDGETS: [usize; 4] = [1, 7, 64, 200];
+
+/// Shape 0: packed `n = ℓ·k`. Shape 1: `n < ℓ·k` with `n mod k` drawn
+/// from `slack`, so edges past the last full window are uncovered.
+/// Shape 2: `n ≤ k` (no forced cut), when `k ≥ 3` allows it.
+fn scan_instance(k: u32, shape: u32, servers: u32, slack: u32) -> RingInstance {
+    match shape {
+        1 => RingInstance::new(servers * k + slack % k, servers + 1, k),
+        2 if k >= 3 => RingInstance::new(3 + slack % (k - 2), 1, k),
+        _ => RingInstance::packed(servers, k),
+    }
+}
+
+/// Trace segments `(kind, start, len, repeats)`: kind 0 is one edge
+/// `repeats + 1` times; kind 1 sweeps `len + 1` consecutive edges and
+/// then repeats the last one `repeats` times at once (a sweep's last
+/// edge often completes a window); kind 2 strides `k` edges apart by
+/// `len + 1`.
+fn scan_trace(instance: &RingInstance, segments: &[(u32, u32, u32, u32)]) -> Vec<Edge> {
+    let mut trace = Vec::new();
+    for &(kind, start, len, repeats) in segments {
+        let (start, len) = (u64::from(start), u64::from(len));
+        match kind {
+            0 => trace.extend((0..=repeats).map(|_| instance.edge(start))),
+            1 => {
+                trace.extend((0..=len).map(|i| instance.edge(start + i)));
+                let last = instance.edge(start + len);
+                trace.extend((0..repeats).map(|_| last));
+            }
+            _ => trace.extend(
+                (0..u64::from(instance.capacity())).map(|i| instance.edge(start + i * (len + 1))),
+            ),
+        }
+    }
+    trace
+}
+
+fn assert_scan_matches_reference(instance: &RingInstance, max_offsets: usize, trace: &[Edge]) {
+    let mut oracle = RingloadOracle::new();
+    oracle.max_offsets = max_offsets;
+    let initial = Placement::contiguous(instance);
+    let lb = oracle.lower_bound(instance, &initial, trace);
+    let (phases, evals) = per_offset_phase_count(instance, max_offsets, trace);
+    assert_eq!(
+        lb,
+        phases as f64 / 2.0,
+        "{instance:?} max_offsets={max_offsets} len={}",
+        trace.len()
+    );
+    assert_eq!(
+        oracle.work_counters().oracle_cut_evals,
+        evals,
+        "{instance:?} max_offsets={max_offsets} len={}",
+        trace.len()
+    );
+}
+
+#[test]
+fn lane_scan_matches_the_per_offset_scan_on_every_grid_case() {
+    for k in SCAN_CAPACITIES {
+        for max_offsets in SCAN_OFFSET_BUDGETS {
+            for shape in 0..3 {
+                let inst = scan_instance(k, shape, 3, 2 * k / 3 + 1);
+                let trace = scan_trace(
+                    &inst,
+                    &[
+                        (1, 0, 3 * k, 2),
+                        (2, 5, 2, 0),
+                        (1, k / 2, 2 * k, 1),
+                        (0, 1, 0, 3),
+                    ],
+                );
+                assert_scan_matches_reference(&inst, max_offsets, &trace);
+                assert_scan_matches_reference(&inst, max_offsets, &[]);
+            }
+        }
+    }
+}
+
+fn scan_cases() -> impl Strategy<Value = (RingInstance, usize, Vec<Edge>)> {
+    (0usize..8, 0usize..4, 0u32..3, 3u32..=5, 0u32..1000)
+        .prop_flat_map(|(ki, mi, shape, servers, slack)| {
+            let inst = scan_instance(SCAN_CAPACITIES[ki], shape, servers, slack);
+            let segment = (0u32..3, 0u32..inst.n(), 0..2 * inst.capacity() + 1, 0u32..3);
+            (
+                Just(inst),
+                Just(SCAN_OFFSET_BUDGETS[mi]),
+                proptest::collection::vec(segment, 0..=12),
+            )
+        })
+        .prop_map(|(inst, max_offsets, segments)| {
+            let trace = scan_trace(&inst, &segments);
+            (inst, max_offsets, trace)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The lane-parallel phase scan returns the same lower bound and
+    /// counts the same `oracle_cut_evals` as one pass per offset.
+    #[test]
+    fn lane_scan_matches_the_per_offset_scan(case in scan_cases()) {
+        let (inst, max_offsets, trace) = case;
+        assert_scan_matches_reference(&inst, max_offsets, &trace);
     }
 }
