@@ -28,8 +28,8 @@
 //! The hierarchy lives in a **flat arena** in BFS order: parallel
 //! `Vec<u32>` topology tables (`lo`/`hi`/`parent`/`child_start`/
 //! `child_count`, see [`HstTopology`]) and parallel `Vec<f64>` live
-//! state (`log_w`/`phase_cost`) plus the write-through
-//! conditional-probability cache `cond`, all indexed by arena node.
+//! state (`log_w`/`phase_cost`) plus the write-through softmax caches
+//! `exp`/`cond`, all indexed by arena node.
 //! BFS order gives two invariants the serve paths lean on: a node's
 //! children occupy the contiguous index range
 //! `child_start..child_start + child_count` (a family's Hedge lanes
@@ -43,6 +43,23 @@
 //! all have `k′` states and share one. The template also holds the
 //! initial live state and the initial leaf distribution; an instance
 //! copies those, seeds its own RNG and draws its coupling `u`.
+//!
+//! ## Single-lane softmax refresh
+//!
+//! A family's conditionals are `cond = exp / Σ exp` with
+//! `exp[i] = exp(log_w[i] − top)`, `top` the family's maximum lane
+//! weight; the `exp` column keeps these numerators as of the family's
+//! last full refresh, and a lane at `top` holds exactly `1.0` (no
+//! `exp` call: `exp(±0.0) == 1.0`). A one-hot hit changes one lane's
+//! weight per family, and only downwards, so the other lanes' numerators
+//! stay valid for as long as `top` keeps its bits: the hit walk then
+//! recomputes the one charged lane's numerator and re-normalizes the
+//! family (summing in lane order, as the full refresh does), which is
+//! bit-identical to refreshing all lanes. A phase end, or a charge
+//! that moves `top` (the charged lane was the unique maximum), falls
+//! back to the full refresh. The vector serve path, construction and
+//! snapshot restore always refresh in full, so the column is derived
+//! state and never snapshotted.
 //!
 //! Per-family lane costs are the *conditional* expected costs
 //! `E[cost | child subtree]`, computed bottom-up as
@@ -62,7 +79,9 @@
 //! The explicit leaf distribution survives only as a
 //! generation-stamped cache for [`HstHedge::leaf_distribution`]
 //! (tests, ablations): `gen` advances whenever any weight changes and
-//! the cached array is recomputed only when its stamp is stale.
+//! the cached array is recomputed only when its stamp is stale. The
+//! array is allocated on its first read, so a policy that is only
+//! served never holds it.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -75,7 +94,8 @@ use rdbp_smin::{Distribution, QuantileCoupling};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::policy::{
-    coupling_from_value, coupling_to_value, validate_costs, MtsPolicy, PolicyCounters,
+    coupling_from_value, coupling_to_value, ensure_finite, validate_costs, MtsPolicy,
+    PolicyCounters,
 };
 
 /// Maximum children per family (the near-equal split uses
@@ -207,7 +227,7 @@ impl HstTopology {
 /// The live Hedge state, as parallel arrays indexed by arena node (an
 /// entry is the node's Hedge lane within its parent family — the root
 /// entries are unused; `log_w`/`phase_cost` stay 0.0 there and
-/// `cond` stays 1.0).
+/// `cond`/`exp` stay 1.0).
 #[derive(Debug, Clone)]
 struct HedgeState {
     /// Log-domain Hedge weights.
@@ -220,29 +240,30 @@ struct HedgeState {
     /// whenever a family's weights change, so a serve never rebuilds
     /// probabilities for untouched families.
     cond: Vec<f64>,
+    /// The softmax numerators behind `cond`: `exp[i] = exp(log_w[i] −
+    /// top)` as of the last refresh of `i`'s family, `top` being that
+    /// family's maximum lane weight (exactly `1.0` for lanes at `top`).
+    /// Lets [`HedgeState::charge_lane`] recompute one lane instead of
+    /// all of them while `top` is unchanged.
+    exp: Vec<f64>,
 }
 
 impl HedgeState {
-    /// Recomputes every family's slice of `cond` from `log_w`.
+    /// Recomputes every family's slice of `exp` and `cond` from
+    /// `log_w`.
     fn refresh_all(&mut self, topo: &HstTopology) {
         for i in 0..topo.len() {
             let cc = topo.child_count[i] as usize;
             if cc > 0 {
-                refresh_family_cond(
-                    &self.log_w,
-                    &mut self.cond,
-                    topo.child_start[i] as usize,
-                    cc,
-                );
+                self.refresh_family_cond(topo.child_start[i] as usize, cc);
             }
         }
     }
 
-    /// Charges the per-lane costs to `family` — the single shared
-    /// update both serve paths funnel through: Hedge weight step with
-    /// `η = 1/Δ`, phase accounting, phase reset once every lane has
-    /// suffered ≥ Δ, and the write-through refresh of the family's
-    /// slice of the conditional-probability cache.
+    /// Charges the per-lane costs to `family` — the vector serve
+    /// path's update: Hedge weight step with `η = 1/Δ`, phase
+    /// accounting, phase reset once every lane has suffered ≥ Δ, and a
+    /// full refresh of the family's slices of the softmax caches.
     ///
     /// Callers have already established that some lane cost is nonzero
     /// (zero-cost lanes are IEEE no-ops on the accumulators, so a
@@ -258,13 +279,106 @@ impl HedgeState {
             self.log_w[lane] -= eta * cost;
             self.phase_cost[lane] += cost;
         }
-        // Phase end: every child has suffered ≥ span — any strategy
-        // inside this subtree paid Ω(span); forgive the past.
-        if self.phase_cost[cs..cs + cc].iter().all(|&p| p >= span) {
-            self.log_w[cs..cs + cc].fill(0.0);
-            self.phase_cost[cs..cs + cc].fill(0.0);
+        if !self.end_phase_if_due(cs, cc, span) {
+            self.refresh_family_cond(cs, cc);
         }
-        refresh_family_cond(&self.log_w, &mut self.cond, cs, cc);
+    }
+
+    /// Charges `val` to the single arena lane `lane` of `family` — the
+    /// one-hot (`serve_hit`) form of [`HedgeState::update_family`] with
+    /// every other lane cost `0.0`, and bit-identical to it. The other
+    /// lanes' weights are untouched, so while the family maximum `top`
+    /// keeps its bits their cached `exp` entries are exactly what a
+    /// full refresh would recompute: only `exp[lane]` is refreshed,
+    /// then the lanes are re-summed in lane order and divided, as in
+    /// [`HedgeState::refresh_family_cond`]. A phase end or a moved
+    /// `top` (the charged lane was the family's unique maximum) takes
+    /// the full refresh.
+    fn charge_lane(&mut self, topo: &HstTopology, family: usize, lane: usize, val: f64) {
+        let cs = topo.child_start[family] as usize;
+        let cc = topo.child_count[family] as usize;
+        debug_assert!((cs..cs + cc).contains(&lane));
+        let span = f64::from(topo.hi[family] - topo.lo[family]);
+        let eta = 1.0 / span;
+        let old_top = family_top(&self.log_w[cs..cs + cc]);
+        self.log_w[lane] -= eta * val;
+        self.phase_cost[lane] += val;
+        if self.end_phase_if_due(cs, cc, span) {
+            return;
+        }
+        let top = family_top(&self.log_w[cs..cs + cc]);
+        if top.to_bits() != old_top.to_bits() {
+            self.refresh_family_cond(cs, cc);
+            return;
+        }
+        self.exp[lane] = shifted_exp(self.log_w[lane], top);
+        self.normalize_family(cs, cc);
+    }
+
+    /// Phase end: once every lane of the family has suffered ≥ `span`,
+    /// any strategy inside this subtree paid Ω(span) — forgive the past
+    /// (zero the lanes' weights and phase costs) and refresh the
+    /// family. Returns whether the phase ended.
+    fn end_phase_if_due(&mut self, cs: usize, cc: usize, span: f64) -> bool {
+        if !self.phase_cost[cs..cs + cc].iter().all(|&p| p >= span) {
+            return false;
+        }
+        self.log_w[cs..cs + cc].fill(0.0);
+        self.phase_cost[cs..cs + cc].fill(0.0);
+        self.refresh_family_cond(cs, cc);
+        true
+    }
+
+    /// Recomputes one family's slices of the softmax caches:
+    /// `exp[cs..cs+cc] = exp(log_w − top)` with `top` the family's
+    /// maximum lane weight (max-shifted for stability), and
+    /// `cond[cs..cs+cc]` their normalization. Lanes at `top` get
+    /// exactly `1.0` without calling `exp` (`exp(±0.0) == 1.0`). The
+    /// single softmax shared by construction, both serve paths and
+    /// snapshot restore — any two code paths that land on the same
+    /// weights produce bit-identical conditionals — and the only
+    /// writer of a family's whole `exp` slice, which
+    /// [`HedgeState::charge_lane`] reuses for as long as `top` keeps
+    /// its bits.
+    fn refresh_family_cond(&mut self, cs: usize, cc: usize) {
+        debug_assert!(cc <= MAX_ARITY);
+        let lanes = &self.log_w[cs..cs + cc];
+        let top = family_top(lanes);
+        for (e, &w) in self.exp[cs..cs + cc].iter_mut().zip(lanes) {
+            *e = shifted_exp(w, top);
+        }
+        self.normalize_family(cs, cc);
+    }
+
+    /// `cond[cs..cs+cc] = exp[cs..cs+cc] / Σ exp`, summed in lane order.
+    fn normalize_family(&mut self, cs: usize, cc: usize) {
+        let exp = &self.exp[cs..cs + cc];
+        let mut sum = 0.0;
+        for &e in exp {
+            sum += e;
+        }
+        for (c, &e) in self.cond[cs..cs + cc].iter_mut().zip(exp) {
+            *c = e / sum;
+        }
+    }
+}
+
+/// A family's maximum lane weight (the softmax shift).
+fn family_top(lanes: &[f64]) -> f64 {
+    let mut top = f64::NEG_INFINITY;
+    for &w in lanes {
+        top = top.max(w);
+    }
+    top
+}
+
+/// The softmax numerator `exp(w − top)` of a lane, exactly `1.0` for a
+/// lane at `top`.
+fn shifted_exp(w: f64, top: f64) -> f64 {
+    if w == top {
+        1.0
+    } else {
+        (w - top).exp()
     }
 }
 
@@ -277,13 +391,11 @@ impl HedgeState {
 pub(crate) struct HstTemplate {
     topo: Arc<HstTopology>,
     /// Live state of a fresh policy (all-zero weights and phases, the
-    /// uniform-per-family softmax in `cond`).
+    /// uniform-per-family softmax in `exp`/`cond`).
     hedge: HedgeState,
     /// The initial leaf distribution, as [`HstHedge::leaf_distribution`]
     /// returns it on a fresh policy.
     dist: Distribution,
-    /// Initial contents of the leaf-probability cache.
-    probs: Vec<f64>,
 }
 
 impl HstTemplate {
@@ -299,21 +411,22 @@ impl HstTemplate {
             log_w: vec![0.0; n_nodes],
             phase_cost: vec![0.0; n_nodes],
             cond: vec![0.0; n_nodes],
+            exp: vec![0.0; n_nodes],
         };
         hedge.cond[0] = 1.0;
+        hedge.exp[0] = 1.0;
         hedge.refresh_all(&topo);
-        let mut probs = vec![0.0; num_states];
         let dist = if num_states == 1 {
             Distribution::point(0, 1)
         } else {
+            let mut probs = vec![0.0; num_states];
             topo.leaf_probs(&hedge.cond, &mut probs);
-            Distribution::new(probs.clone())
+            Distribution::new(probs)
         };
         Self {
             topo: Arc::new(topo),
             hedge,
             dist,
-            probs,
         }
     }
 
@@ -323,7 +436,7 @@ impl HstTemplate {
     /// # Panics
     /// Panics if `initial` is out of range.
     pub(crate) fn instantiate(&self, initial: usize, seed: u64) -> HstHedge {
-        let num_states = self.probs.len();
+        let num_states = self.dist.len();
         assert!(initial < num_states, "initial state out of range");
         let mut rng = StdRng::seed_from_u64(seed);
         // Draw u uniformly inside initial's quantile block, so the
@@ -342,9 +455,11 @@ impl HstTemplate {
             num_states,
             hedge: self.hedge.clone(),
             gen: 1,
-            probs: RefCell::new(self.probs.clone()),
-            // The template's leaf cache is current, except for a single
-            // state, whose distribution never goes through the cache.
+            probs: RefCell::new(Vec::new()),
+            // A fresh policy's leaf cache counts as current (its
+            // contents are the template's `dist`, filled in on the first
+            // read), except for a single state, whose distribution never
+            // goes through the cache.
             probs_gen: Cell::new(u64::from(num_states > 1)),
             val: Vec::new(),
             coupling,
@@ -369,7 +484,8 @@ pub struct HstHedge {
     gen: u64,
     /// Generation-stamped leaf-distribution cache (lazy; only
     /// [`HstHedge::leaf_distribution`] reads it, so it lives behind
-    /// interior mutability and never touches the serve paths).
+    /// interior mutability and never touches the serve paths). Empty
+    /// until the first read fills it; a restore empties it again.
     probs: RefCell<Vec<f64>>,
     /// The `gen` the cached `probs` were computed at.
     probs_gen: Cell<u64>,
@@ -409,27 +525,32 @@ impl HstHedge {
         if self.num_states == 1 {
             return Distribution::point(0, 1);
         }
-        if self.probs_gen.get() != self.gen {
-            self.topo
-                .leaf_probs(&self.hedge.cond, &mut self.probs.borrow_mut());
+        let mut probs = self.probs.borrow_mut();
+        // An empty cache stamped current (a fresh or restored policy)
+        // stands for the distribution of the current `cond`.
+        if self.probs_gen.get() != self.gen || probs.is_empty() {
+            probs.resize(self.num_states, 0.0);
+            self.topo.leaf_probs(&self.hedge.cond, &mut probs);
             self.probs_gen.set(self.gen);
         }
-        Distribution::new(self.probs.borrow().clone())
+        Distribution::new(probs.clone())
     }
 
     /// Bytes of the arena's parallel arrays as seen by one policy: the
     /// topology tables (counted in full although policies of one
-    /// template share them), the live state, the caches, and the
-    /// vector-serve scratch at its arena length (whether or not its
-    /// lazy allocation has happened yet) — the debug accessor behind
-    /// the data-oriented layout work; see DESIGN.md §14.
+    /// template share them), the live state, the softmax caches, and
+    /// the two lazily allocated arrays at their full lengths whether or
+    /// not they exist yet (the vector-serve scratch at the arena
+    /// length, the leaf cache at `num_states`) — the debug accessor
+    /// behind the data-oriented layout work; see DESIGN.md §14.
     #[must_use]
     pub fn hst_arena_bytes(&self) -> usize {
         let f64s = self.hedge.log_w.len()
             + self.hedge.phase_cost.len()
             + self.hedge.cond.len()
+            + self.hedge.exp.len()
             + self.topo.len()
-            + self.probs.borrow().len();
+            + self.num_states;
         self.topo.bytes() + f64s * std::mem::size_of::<f64>()
     }
 
@@ -512,14 +633,16 @@ impl HstHedge {
     /// For a unit task every off-path subtree has conditional expected
     /// cost exactly `0.0` (sums of products of zeros), so the vector
     /// pass above degenerates to: path families see one nonzero lane
-    /// carrying `val`, everything else is skipped. `val` propagates as
-    /// `cond(child)·val` read **before** the family update — the
-    /// vector pass computes every `val` from the pre-update cache —
-    /// and once it underflows to `0.0` all remaining ancestors would
-    /// see all-zero lanes, so the walk stops. `O(levels)` work, bit
-    /// for bit the trajectory of the `O(N)` pass (pinned by
-    /// `serve_hit_equals_one_hot_serve_for_every_policy` and the
-    /// arena-walk proptests).
+    /// carrying `val` ([`HedgeState::charge_lane`], the single-lane
+    /// form of the family update), everything else is skipped. `val`
+    /// propagates as `cond(child)·val` read **before** the family
+    /// update — the vector pass computes every `val` from the
+    /// pre-update cache — and once it underflows to `0.0` all
+    /// remaining ancestors would see all-zero lanes, so the walk stops.
+    /// `O(levels)` work, bit for bit the trajectory of the `O(N)` pass
+    /// (pinned by `serve_hit_equals_one_hot_serve_for_every_policy`,
+    /// `single_lane_hits_equal_full_refresh_serves` and the arena-walk
+    /// proptests).
     fn serve_hit_body(&mut self, index: usize) -> usize {
         self.cache_hits += 1;
         // One topology reference for the whole walk: the shared `Arc`
@@ -531,13 +654,9 @@ impl HstHedge {
         while topo.parent[node] != NO_PARENT && val != 0.0 {
             let family = topo.parent[node] as usize;
             let next_val = self.hedge.cond[node] * val;
-            let cs = topo.child_start[family] as usize;
-            let cc = topo.child_count[family] as usize;
-            let mut lanes = [0.0f64; MAX_ARITY];
-            lanes[node - cs] = val;
             self.node_visits += 1;
             touched = true;
-            self.hedge.update_family(topo, family, &lanes[..cc]);
+            self.hedge.charge_lane(topo, family, node, val);
             val = next_val;
             node = family;
         }
@@ -592,29 +711,6 @@ impl HstHedge {
         let state = topo.lo[node] as usize;
         self.coupling.follow_to(state);
         state
-    }
-}
-
-/// Recomputes one family's slice of the conditional-probability cache:
-/// `cond[cs..cs+cc] = softmax(log_w[cs..cs+cc])`, max-shifted for
-/// stability. The single softmax shared by construction, both serve
-/// paths and snapshot restore — any two code paths that land on the
-/// same weights produce bit-identical conditionals.
-fn refresh_family_cond(log_w: &[f64], cond: &mut [f64], cs: usize, cc: usize) {
-    debug_assert!(cc <= MAX_ARITY);
-    let lanes = &log_w[cs..cs + cc];
-    let mut top = f64::NEG_INFINITY;
-    for &w in lanes {
-        top = top.max(w);
-    }
-    let mut exp = [0.0f64; MAX_ARITY];
-    let mut sum = 0.0;
-    for (e, &w) in exp[..cc].iter_mut().zip(lanes) {
-        *e = (w - top).exp();
-        sum += *e;
-    }
-    for (c, &e) in cond[cs..cs + cc].iter_mut().zip(&exp[..cc]) {
-        *c = e / sum;
     }
 }
 
@@ -690,26 +786,23 @@ impl MtsPolicy for HstHedge {
                 phase.len(),
             )));
         }
+        ensure_finite("log_w", &log_w)?;
+        ensure_finite("phase_cost", &phase)?;
         let coupling = coupling_from_value(state.get_field("coupling")?, self.num_states)?;
         let probs_fresh = bool::from_value(state.get_field("probs_fresh")?)?;
         self.rng = StdRng::from_value(state.get_field("rng")?)?;
         self.coupling = coupling;
         self.hedge.log_w = log_w;
         self.hedge.phase_cost = phase;
-        // Rebuild the write-through conditional cache for the restored
+        // Rebuild the write-through softmax caches for the restored
         // weights (bit-identical: the same shared softmax the serve
-        // paths use), then honor the snapshot's leaf-cache freshness.
+        // paths use), then honor the snapshot's leaf-cache freshness:
+        // the emptied cache refills from the restored `cond` on its
+        // next read, and the stamp says whether that read is current.
         self.hedge.refresh_all(&self.topo);
         self.gen = 1;
-        if probs_fresh {
-            if self.num_states > 1 {
-                self.topo
-                    .leaf_probs(&self.hedge.cond, &mut self.probs.borrow_mut());
-            }
-            self.probs_gen.set(self.gen);
-        } else {
-            self.probs_gen.set(0);
-        }
+        self.probs.borrow_mut().clear();
+        self.probs_gen.set(if probs_fresh { self.gen } else { 0 });
         Ok(())
     }
 
@@ -796,16 +889,73 @@ mod tests {
 
     #[test]
     fn arena_bytes_of_the_ledger_probe_are_stable() {
-        // `s7_arena_ledger.csv` records this probe's footprint; the
-        // lazy `val` scratch is counted at its arena length before and
-        // after its allocation, so neither sharing the topology nor
-        // deferring the scratch moves the figure.
+        // `s7_arena_ledger.csv` records this probe's footprint: the
+        // 69-node arena's six u32 tables, five f64 columns (log_w,
+        // phase_cost, cond, exp, val) and the 48-entry leaf cache. The
+        // lazy `val` scratch and `probs` cache are counted at their
+        // full lengths before and after their allocation, so neither
+        // sharing the topology nor deferring them moves the figure.
         let mut p = HstHedge::new(48, 24, 1);
-        assert_eq!(p.hst_arena_bytes(), 4164);
+        assert_eq!(p.hst_arena_bytes(), 4716);
         assert!(p.val.is_empty(), "scratch is allocated on first use");
+        assert!(
+            p.probs.borrow().is_empty(),
+            "leaf cache is allocated on first read"
+        );
         p.serve(&unit(48, 3));
+        let _ = p.leaf_distribution();
         assert_eq!(p.val.len(), p.topo.len());
-        assert_eq!(p.hst_arena_bytes(), 4164);
+        assert_eq!(p.probs.borrow().len(), 48);
+        assert_eq!(p.hst_arena_bytes(), 4716);
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_weights_and_phases() {
+        let mut p = HstHedge::new(16, 5, 2);
+        for t in 0..40 {
+            p.serve_hit((t * 3) % 16);
+        }
+        let snap = p.export_state().expect("hedge exports state");
+        for field in ["log_w", "phase_cost"] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let corrupt = crate::policy::tests::with_float(&snap, field, 7, bad);
+                let mut q = HstHedge::new(16, 5, 9);
+                let before = q.export_state();
+                let err = q.restore_state(&corrupt).expect_err("non-finite entry");
+                assert!(err.0.contains(field), "{field}: {}", err.0);
+                assert_eq!(
+                    q.export_state(),
+                    before,
+                    "a refused restore changes nothing"
+                );
+            }
+        }
+        let mut q = HstHedge::new(16, 5, 9);
+        q.restore_state(&snap)
+            .expect("the uncorrupted snapshot restores");
+    }
+
+    #[test]
+    fn single_lane_refresh_keeps_the_exp_column_exact() {
+        // After any mix of hits and vector serves, every family's `exp`
+        // slice must equal what a full refresh recomputes from `log_w`
+        // (bit for bit), and lanes at the family maximum hold 1.0.
+        let n = 48;
+        let mut p = HstHedge::new(n, 24, 4);
+        for t in 0..600 {
+            if t % 7 == 6 {
+                let costs: Vec<f64> = (0..n).map(|i| ((i + t) % 3) as f64 * 0.5).collect();
+                p.serve(&costs);
+            } else {
+                p.serve_hit((t * 11 + t / 5) % 6 + 12);
+            }
+            let mut fresh = p.hedge.clone();
+            fresh.refresh_all(&p.topo);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&p.hedge.exp), bits(&fresh.exp), "step {t}");
+            assert_eq!(bits(&p.hedge.cond), bits(&fresh.cond), "step {t}");
+        }
+        assert!(p.hedge.exp.iter().any(|&e| e == 1.0));
     }
 
     #[test]

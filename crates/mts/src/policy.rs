@@ -200,6 +200,19 @@ pub(crate) fn coupling_from_value(
     Ok(rdbp_smin::QuantileCoupling::from_parts(u, state, moved))
 }
 
+/// Rejects a snapshot's float column if any entry is NaN or infinite.
+/// Such values arrive bit-exact over the binary wire format, and a
+/// policy restored with them would serve from a meaningless state.
+pub(crate) fn ensure_finite(field: &str, values: &[f64]) -> Result<(), DeError> {
+    match values.iter().position(|x| !x.is_finite()) {
+        Some(i) => Err(DeError(format!(
+            "{field}[{i}] = {} is not finite",
+            values[i]
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Which MTS policy to instantiate inside higher-level algorithms.
 ///
 /// The dynamic partitioner (Theorem 2.1) is parameterized by this —
@@ -327,8 +340,26 @@ pub(crate) fn validate_costs(costs: &[f64], num_states: usize) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A copy of the exported `snapshot` with entry `index` of its float
+    /// array `field` replaced by `value` — the corrupt snapshots the
+    /// restore tests feed back.
+    pub(crate) fn with_float(snapshot: &Value, field: &str, index: usize, value: f64) -> Value {
+        let Value::Obj(mut pairs) = snapshot.clone() else {
+            panic!("snapshot must be an object")
+        };
+        let (_, column) = pairs
+            .iter_mut()
+            .find(|(k, _)| k == field)
+            .expect("snapshot field");
+        let Value::Arr(items) = column else {
+            panic!("`{field}` must be an array")
+        };
+        items[index] = Value::Float(value);
+        Value::Obj(pairs)
+    }
 
     /// A policy that never moves.
     struct Sitter {

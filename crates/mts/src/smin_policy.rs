@@ -8,7 +8,8 @@ use rdbp_smin::{grad_smin_scaled, grad_smin_scaled_into, Distribution, QuantileC
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::policy::{
-    coupling_from_value, coupling_to_value, validate_costs, MtsPolicy, PolicyCounters,
+    coupling_from_value, coupling_to_value, ensure_finite, validate_costs, MtsPolicy,
+    PolicyCounters,
 };
 
 /// Randomized policy that maintains the distribution
@@ -156,6 +157,7 @@ impl MtsPolicy for SminGradient {
                 self.x.len()
             )));
         }
+        ensure_finite("x", &x)?;
         self.coupling = coupling_from_value(state.get_field("coupling")?, self.x.len())?;
         self.rng = StdRng::from_value(state.get_field("rng")?)?;
         self.x = x;
@@ -188,6 +190,30 @@ mod tests {
             let p = SminGradient::new(7, init, 1);
             assert_eq!(p.state(), init);
         }
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_cumulative_costs() {
+        let mut p = SminGradient::new(9, 4, 3);
+        for t in 0..30 {
+            p.serve_hit((t * 5) % 9);
+        }
+        let snap = p.export_state().expect("smin exports state");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let corrupt = crate::policy::tests::with_float(&snap, "x", 2, bad);
+            let mut q = SminGradient::new(9, 4, 8);
+            let before = q.export_state();
+            let err = q.restore_state(&corrupt).expect_err("non-finite entry");
+            assert!(err.0.contains("x[2]"), "{}", err.0);
+            assert_eq!(
+                q.export_state(),
+                before,
+                "a refused restore changes nothing"
+            );
+        }
+        let mut q = SminGradient::new(9, 4, 8);
+        q.restore_state(&snap)
+            .expect("the uncorrupted snapshot restores");
     }
 
     #[test]

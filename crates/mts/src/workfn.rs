@@ -2,7 +2,7 @@
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::policy::{validate_costs, MtsPolicy, PolicyCounters};
+use crate::policy::{ensure_finite, validate_costs, MtsPolicy, PolicyCounters};
 
 /// Work-function algorithm (Borodin–Linial–Saks \[21\]), specialized to
 /// the line metric.
@@ -149,6 +149,7 @@ impl MtsPolicy for WorkFunction {
         if s >= self.w.len() {
             return Err(DeError(format!("state {s} out of range")));
         }
+        ensure_finite("w", &w)?;
         self.w = w;
         self.state = s;
         Ok(())
@@ -243,6 +244,30 @@ mod tests {
         let c = run_policy(&mut wfa, &tasks);
         assert!(c.total() > 0.0);
         assert!(c.total() < 10.0);
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_work_function() {
+        let mut wfa = WorkFunction::new(6, 2);
+        for t in 0..20 {
+            wfa.serve_hit((t * 5) % 6);
+        }
+        let snap = wfa.export_state().expect("wfa exports state");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let corrupt = crate::policy::tests::with_float(&snap, "w", 4, bad);
+            let mut q = WorkFunction::new(6, 2);
+            let before = q.export_state();
+            let err = q.restore_state(&corrupt).expect_err("non-finite entry");
+            assert!(err.0.contains("w[4]"), "{}", err.0);
+            assert_eq!(
+                q.export_state(),
+                before,
+                "a refused restore changes nothing"
+            );
+        }
+        let mut q = WorkFunction::new(6, 2);
+        q.restore_state(&snap)
+            .expect("the uncorrupted snapshot restores");
     }
 
     #[test]

@@ -321,6 +321,115 @@ proptest! {
     }
 }
 
+/// How the next hit of the single-lane differential is chosen.
+#[derive(Debug, Clone, Copy)]
+enum HitPlan {
+    /// A state drawn from the case's mixing sequence.
+    Any,
+    /// The first state of maximal leaf probability. Siblings share
+    /// their parent's mass, so its lane is at the top of its leaf
+    /// family, and a unique top moves when that lane is charged.
+    Top,
+    /// The last state of maximal leaf probability: a lane tied at its
+    /// family's top whenever the maximum is shared (every fresh or
+    /// just-reset family).
+    TiedTop,
+    /// Round-robin over the states of the hit's leaf family (the
+    /// family `hit_path` lists first), `span` rounds. When its
+    /// children are leaves each round charges every lane exactly 1.0,
+    /// so a phase reset happens during the sweep.
+    Sweep,
+}
+
+/// The hits `plan` issues next against `policy`, drawn from `mix`.
+fn plan_hits(policy: &HstHedge, plan: HitPlan, mix: usize) -> Vec<usize> {
+    let n = policy.num_states();
+    let argmax = |last: bool| {
+        let dist = policy.leaf_distribution();
+        let top = (0..n)
+            .map(|i| dist.prob(i))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut at_top = (0..n).filter(|&i| dist.prob(i) == top);
+        if last { at_top.last() } else { at_top.next() }.expect("a state of maximal probability")
+    };
+    match plan {
+        HitPlan::Any => vec![mix % n],
+        HitPlan::Top => vec![argmax(false)],
+        HitPlan::TiedTop => vec![argmax(true)],
+        HitPlan::Sweep => match policy.hit_path(mix % n).first() {
+            Some(&(lo, hi)) => {
+                let span = (hi - lo) as usize;
+                (0..span * span).map(|t| lo as usize + t % span).collect()
+            }
+            None => vec![0],
+        },
+    }
+}
+
+/// Asserts bit-equal snapshots and leaf distributions of two twins
+/// (reading the distribution of both, so their leaf-cache stamps stay
+/// in step).
+fn assert_twins_bit_equal(a: &HstHedge, b: &HstHedge, what: &str) {
+    assert_eq!(
+        snapshot_bits(a),
+        snapshot_bits(b),
+        "{what}: snapshots differ"
+    );
+    let (da, db) = (a.leaf_distribution(), b.leaf_distribution());
+    for i in 0..a.num_states() {
+        assert_eq!(
+            da.prob(i).to_bits(),
+            db.prob(i).to_bits(),
+            "{what}: leaf {i} differs"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The single-lane softmax refresh of the `serve_hit` walk equals
+    /// the full per-family refresh of the vector path bit for bit: one
+    /// twin serves `serve_hit`, the other the same hits as one-hot
+    /// vectors through `serve`. The trajectory charges top lanes (a
+    /// moved family maximum), lanes tied at the top (an unmoved one)
+    /// and whole leaf families until their phase resets, and the hit
+    /// twin is replaced by a restored copy of itself mid-run (its
+    /// caches rebuilt by the full refresh).
+    #[test]
+    fn single_lane_hits_equal_full_refresh_serves(
+        size in 0usize..TEMPLATE_SIZES.len(),
+        seed in 0u64..1 << 40,
+        plans in proptest::collection::vec(0usize..4, 4..24),
+        restore_at in 0usize..24,
+    ) {
+        let n = TEMPLATE_SIZES[size];
+        let initial = (seed as usize) % n;
+        let mut hit_twin = HstHedge::new(n, initial, seed);
+        let mut vector_twin = HstHedge::new(n, initial, seed);
+        let mut one_hot = vec![0.0; n];
+        for (step, &plan) in plans.iter().enumerate() {
+            if step == restore_at % plans.len() {
+                assert_twins_bit_equal(&hit_twin, &vector_twin, "before restore");
+                let snapshot = hit_twin.export_state().expect("hedge exports state");
+                let mut restored = HstHedge::new(n, initial, seed ^ 0x5bd1);
+                restored.restore_state(&snapshot).expect("restore");
+                hit_twin = restored;
+            }
+            let plan = [HitPlan::Any, HitPlan::Top, HitPlan::TiedTop, HitPlan::Sweep][plan];
+            let mix = (seed as usize).wrapping_add(step.wrapping_mul(0x9e37_79b9));
+            for hit in plan_hits(&hit_twin, plan, mix) {
+                one_hot[hit] = 1.0;
+                let a = hit_twin.serve_hit(hit);
+                let b = vector_twin.serve(&one_hot);
+                one_hot[hit] = 0.0;
+                prop_assert_eq!(a, b, "n={} step {} ({:?}) hit {} diverged", n, step, plan, hit);
+            }
+        }
+        assert_twins_bit_equal(&hit_twin, &vector_twin, "end of run");
+    }
+}
+
 /// Deterministic spot-check: on a long single-state hammer, all three
 /// policies end far from linear cost while a sitter pays every step.
 #[test]

@@ -346,4 +346,38 @@ mod tests {
         pairs.retain(|(k, _)| k != "workload");
         assert!(Session::restore(&Value::Obj(pairs), &registries).is_err());
     }
+
+    /// Mutable access to `snapshot.algorithm.policies[0].log_w`, the
+    /// first interval's Hedge weights.
+    fn first_policy_weights(snapshot: &mut Value) -> &mut Vec<Value> {
+        let mut v = snapshot;
+        for key in ["algorithm", "policies", "0", "log_w"] {
+            v = match v {
+                Value::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Value::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("unexpected snapshot shape {other:?}"),
+            };
+        }
+        let Value::Arr(weights) = v else {
+            panic!("log_w must be an array")
+        };
+        weights
+    }
+
+    #[test]
+    fn snapshots_with_non_finite_policy_weights_are_refused() {
+        let registries = Registries::builtin();
+        let mut session = Session::new(scenario("dynamic", "uniform", 3), &registries).unwrap();
+        session.submit(50);
+        let snap = session.snapshot().unwrap();
+        assert!(Session::restore(&snap, &registries).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut corrupt = snap.clone();
+            first_policy_weights(&mut corrupt)[1] = Value::Float(bad);
+            let err = Session::restore(&corrupt, &registries)
+                .err()
+                .expect("a non-finite Hedge weight must be refused");
+            assert!(err.0.contains("log_w[1]"), "{err}");
+        }
+    }
 }
